@@ -2,13 +2,16 @@
 // decoding, distance-bound evaluation, histogram lookup, Euclidean distance,
 // and histogram construction. These are the operations the candidate-
 // reduction phase performs per candidate, so their throughput bounds how
-// cheap "no-I/O pruning" really is.
+// cheap "no-I/O pruning" really is. BM_C2LshCandidates times the
+// generation phase that precedes them.
 
 #include <benchmark/benchmark.h>
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <memory>
 #include <vector>
 
 #include "cache/code_store.h"
@@ -24,6 +27,7 @@
 #include "obs/prof.h"
 #include "storage/file_ordering.h"
 #include "storage/point_file.h"
+#include "workload/generator.h"
 
 namespace {
 
@@ -289,6 +293,49 @@ void BM_EngineQuery(benchmark::State& state) {
   std::filesystem::remove_all(dir);
 }
 BENCHMARK(BM_EngineQuery)->Arg(0)->Arg(1)->Arg(2)
+    ->Unit(benchmark::kMicrosecond);
+
+// C2LSH candidate generation (projection + collision-count scan) over a
+// clustered dataset, with queries jittered off data points as in the query
+// logs; beta = max(100, n / 400) as in the benchmark harnesses. Args: n, d.
+void BM_C2LshCandidates(benchmark::State& state) {
+  workload::DatasetSpec spec;
+  spec.n = state.range(0);
+  spec.dim = state.range(1);
+  spec.seed = 11;
+  const Dataset data = workload::GenerateClustered(spec);
+  index::C2LshOptions opt;
+  opt.beta_candidates =
+      static_cast<uint32_t>(std::max<size_t>(100, data.size() / 400));
+  std::unique_ptr<index::C2Lsh> lsh;
+  if (!index::C2Lsh::Build(data, opt, &lsh).ok()) {
+    state.SkipWithError("lsh build failed");
+    return;
+  }
+  Rng rng(12);
+  std::vector<std::vector<Scalar>> queries;
+  for (size_t i = 0; i < 64; ++i) {
+    auto p = data.point(static_cast<PointId>(rng.Uniform(data.size())));
+    std::vector<Scalar> q(p.begin(), p.end());
+    for (auto& v : q) {
+      v = static_cast<Scalar>(
+          std::max(0.0, std::min(255.0, v + rng.NextGaussian() * 4)));
+    }
+    queries.push_back(std::move(q));
+  }
+  std::vector<PointId> cand;
+  size_t qi = 0;
+  for (auto _ : state) {
+    if (!lsh->Candidates(queries[qi], /*k=*/10, &cand, nullptr).ok()) {
+      state.SkipWithError("candidates failed");
+      return;
+    }
+    benchmark::DoNotOptimize(cand.data());
+    qi = (qi + 1) & 63;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_C2LshCandidates)->Args({20000, 32})->Args({50000, 128})
     ->Unit(benchmark::kMicrosecond);
 
 void BM_BuildVOptimal(benchmark::State& state) {

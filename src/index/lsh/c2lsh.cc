@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/random.h"
 #include "storage/point_file.h"
@@ -19,19 +20,28 @@ int64_t FloorDiv(int64_t a, int64_t b) {
 // entry is one 8-byte word). Used only for index-I/O accounting.
 constexpr size_t kEntryBytes = 8;
 
-// Per-thread collision-count scratch, shared by every C2Lsh instance on the
-// thread. `counts` only grows (new entries are zero-initialized) and every
-// query zeroes exactly the entries it touched, so a query sees all-zero
-// counts regardless of which instance the thread served before.
+// Per-thread query scratch, shared by every C2Lsh instance on the thread.
+// `counts` holds one collision counter per point and is all zero between
+// queries: a query zeroes its index's n counters before it returns. That
+// costs less than logging which points it touched, since a query scans
+// about 1.5 table entries per point at 200k x 128. The arrays only grow,
+// so a thread may serve instances of different sizes.
 struct QueryScratch {
   std::vector<uint8_t> counts;
-  std::vector<PointId> touched;
+  std::vector<int64_t> qkeys;  // query key per function
+  // Per function, the table entries [lo, hi) whose keys the search radius
+  // covers so far.
+  std::vector<size_t> lo, hi;
 };
 
-QueryScratch& Scratch(size_t n) {
+QueryScratch& Scratch(size_t n, uint32_t m) {
   thread_local QueryScratch s;
   if (s.counts.size() < n) s.counts.resize(n, 0);
-  if (s.touched.capacity() < 1024) s.touched.reserve(1024);
+  if (s.qkeys.size() < m) {
+    s.qkeys.resize(m);
+    s.lo.resize(m);
+    s.hi.resize(m);
+  }
   return s;
 }
 
@@ -40,6 +50,11 @@ QueryScratch& Scratch(size_t n) {
 Status C2Lsh::Build(const Dataset& data, const C2LshOptions& options,
                     std::unique_ptr<C2Lsh>* out) {
   if (data.empty()) return Status::InvalidArgument("empty dataset");
+  if (options.num_functions > 255) {
+    // Collision counters are one byte; a point collides at most once per
+    // function, so m <= 255 keeps every count exact.
+    return Status::InvalidArgument("more than 255 hash functions");
+  }
   if (options.collision_threshold > options.num_functions) {
     return Status::InvalidArgument("collision threshold exceeds m");
   }
@@ -86,16 +101,27 @@ Status C2Lsh::Build(const Dataset& data, const C2LshOptions& options,
     idx->shift_[i] = rng.NextDouble() * idx->width_;
   }
 
-  idx->tables_.assign(m, {});
+  // One function at a time: sort (key, id) pairs in a reused n-entry
+  // buffer, split them into the table's key and id arrays, and release that
+  // function's projections, so the build never holds a second full-size
+  // copy of the tables.
+  idx->tables_.resize(m);
+  std::vector<std::pair<int64_t, PointId>> sorted(n);
   for (uint32_t i = 0; i < m; ++i) {
-    auto& table = idx->tables_[i];
-    table.resize(n);
     for (size_t p = 0; p < n; ++p) {
-      const int64_t key = static_cast<int64_t>(
-          std::floor((dots[i][p] + idx->shift_[i]) / idx->width_));
-      table[p] = {key, static_cast<PointId>(p)};
+      sorted[p] = {static_cast<int64_t>(std::floor(
+                       (dots[i][p] + idx->shift_[i]) / idx->width_)),
+                   static_cast<PointId>(p)};
     }
-    std::sort(table.begin(), table.end());
+    std::vector<double>().swap(dots[i]);
+    std::sort(sorted.begin(), sorted.end());
+    Table& table = idx->tables_[i];
+    table.keys.resize(n);
+    table.ids.resize(n);
+    for (size_t p = 0; p < n; ++p) {
+      table.keys[p] = sorted[p].first;
+      table.ids[p] = sorted[p].second;
+    }
   }
 
   *out = std::move(idx);
@@ -116,105 +142,99 @@ Status C2Lsh::Candidates(std::span<const Scalar> q, size_t k,
                          std::vector<PointId>* out,
                          storage::IoStats* stats) {
   if (q.size() != dim_) return Status::InvalidArgument("query dim mismatch");
-  out->clear();
 
   const uint32_t m = options_.num_functions;
   const uint32_t l = options_.collision_threshold;
   const int64_t c = static_cast<int64_t>(options_.approximation_ratio);
   const size_t want = std::min<size_t>(n_, k + options_.beta_candidates);
+  out->resize(want);
 
-  // Reset this thread's scratch counters from its previous query.
-  QueryScratch& scratch = Scratch(n_);
-  std::vector<uint8_t>& counts = scratch.counts;
-  std::vector<PointId>& touched = scratch.touched;
-  for (PointId id : touched) counts[id] = 0;
-  touched.clear();
-
-  std::vector<int64_t> qkeys(m);
+  QueryScratch& scratch = Scratch(n_, m);
+  uint8_t* counts = scratch.counts.data();
+  int64_t* qkeys = scratch.qkeys.data();
+  size_t* lo = scratch.lo.data();
+  size_t* hi = scratch.hi.data();
   for (uint32_t i = 0; i < m; ++i) qkeys[i] = KeyFor(i, q);
 
-  // Covered key interval per function, inclusive; empty before level 0.
-  std::vector<int64_t> lo(m), hi(m);
-  bool first_level = true;
+  PointId* admitted = out->data();
+  size_t nout = 0;
   uint64_t total_probes = 0;
   uint64_t total_entries = 0;
   uint64_t total_seq_pages = 0;
-
   int64_t bucket = 1;  // c^level
-  uint32_t level = 0;
-  for (; level < options_.max_levels; ++level) {
-    for (uint32_t i = 0; i < m; ++i) {
-      const int64_t idx = FloorDiv(qkeys[i], bucket);
-      const int64_t new_lo = idx * bucket;
-      const int64_t new_hi = new_lo + bucket - 1;
 
-      // Ranges of keys covered for the first time at this level.
-      struct Range {
-        int64_t a, b;
-      };
-      Range fresh[2];
-      int nfresh = 0;
-      if (first_level) {
-        fresh[nfresh++] = {new_lo, new_hi};
-      } else {
-        if (new_lo < lo[i]) fresh[nfresh++] = {new_lo, lo[i] - 1};
-        if (new_hi > hi[i]) fresh[nfresh++] = {hi[i] + 1, new_hi};
+  // eeb-hot-begin(lsh-scan): the collision-count scan — streams the ids of
+  // every table entry the growing radius newly covers, ~1.5 entries per
+  // dataset point per query; works only in the pre-sized scratch and `out`.
+  //
+  // Counts entries [j, end) of `ids`; returns where it stopped: at `end`,
+  // or just past the entry that met the k + beta target. Points crossing
+  // the threshold earliest (at the smallest radius) are the most promising,
+  // and since nothing is admitted after the target, the scan stops there.
+  const auto scan = [&](const PointId* ids, size_t j, size_t end) {
+    for (; j < end; ++j) {
+      const PointId id = ids[j];
+      const uint32_t seen = counts[id];
+      counts[id] = static_cast<uint8_t>(seen + 1);
+      if (seen + 1 == l) {
+        admitted[nout++] = id;
+        if (nout == want) return j + 1;
       }
-      lo[i] = new_lo;
-      hi[i] = new_hi;
-
-      size_t entries_scanned = 0;
-      const auto& table = tables_[i];
-      for (int r = 0; r < nfresh; ++r) {
-        auto begin = std::lower_bound(
-            table.begin(), table.end(), fresh[r].a,
-            [](const Entry& e, int64_t key) { return e.key < key; });
-        auto end = std::lower_bound(
-            table.begin(), table.end(), fresh[r].b + 1,
-            [](const Entry& e, int64_t key) { return e.key < key; });
-        for (auto it = begin; it != end; ++it) {
-          if (counts[it->id] == 0) touched.push_back(it->id);
-          if (counts[it->id] < 255) counts[it->id]++;
-          // Admit candidates until the k + beta*n target is reached; points
-          // crossing the collision threshold earliest (i.e. at the smallest
-          // radius) are the most promising, so capping keeps the candidate
-          // volume near the C2LSH termination target instead of admitting a
-          // whole cluster when one level jump engulfs it.
-          if (counts[it->id] == l && out->size() < want) {
-            out->push_back(it->id);
-          }
-        }
-        entries_scanned += static_cast<size_t>(end - begin);
+    }
+    return end;
+  };
+  bool done = want == 0;
+  for (uint32_t level = 0; !done && level < options_.max_levels; ++level) {
+    for (uint32_t i = 0; i < m && !done; ++i) {
+      const int64_t new_lo = FloorDiv(qkeys[i], bucket) * bucket;
+      const int64_t* keys = tables_[i].keys.data();
+      const PointId* ids = tables_[i].ids.data();
+      if (level == 0) {
+        lo[i] = hi[i] = std::lower_bound(keys, keys + n_, new_lo) - keys;
       }
+      // Entries covered for the first time at this level: [first, lo) to
+      // the left of the covered run, then [hi, last) to its right.
+      const size_t first = std::lower_bound(keys, keys + lo[i], new_lo) - keys;
+      const size_t last =
+          std::lower_bound(keys + hi[i], keys + n_, new_lo + bucket) - keys;
+      size_t entries_scanned = scan(ids, first, lo[i]) - first;
+      done = nout == want;
+      if (!done) {
+        entries_scanned += scan(ids, hi[i], last) - hi[i];
+        done = nout == want;
+      }
+      lo[i] = first;
+      hi[i] = last;
 
       // One random bucket-directory probe per function and level, plus the
       // id-list pages, which are scanned sequentially.
-      const uint64_t seq_pages =
-          (entries_scanned * kEntryBytes) / storage::kDefaultPageSize;
       total_probes += 1;
       total_entries += entries_scanned;
-      total_seq_pages += seq_pages;
-      if (stats != nullptr) {
-        stats->page_reads += 1;
-        stats->seq_page_reads += seq_pages;
-        stats->bytes_read += entries_scanned * kEntryBytes;
-      }
+      total_seq_pages +=
+          (entries_scanned * kEntryBytes) / storage::kDefaultPageSize;
     }
-    first_level = false;
-    if (out->size() >= want) break;
+    if (done) break;
     if (bucket > (int64_t{1} << 60) / c) break;  // overflow guard
     bucket *= c;
   }
+  std::fill(counts, counts + n_, uint8_t{0});
+  // eeb-hot-end
 
+  out->resize(nout);
+  std::sort(out->begin(), out->end());
+  if (stats != nullptr) {
+    stats->page_reads += total_probes;
+    stats->seq_page_reads += total_seq_pages;
+    stats->bytes_read += total_entries * kEntryBytes;
+  }
   const double radius = width_ * static_cast<double>(bucket);
   last_radius_.store(radius, std::memory_order_relaxed);
-  std::sort(out->begin(), out->end());
   if (obs_.queries != nullptr) {
     obs_.queries->Add(1);
     obs_.bucket_probes->Add(total_probes);
     obs_.entries_scanned->Add(total_entries);
     obs_.seq_page_reads->Add(total_seq_pages);
-    obs_.candidates->Add(out->size());
+    obs_.candidates->Add(nout);
     obs_.last_radius->Set(radius);
   }
   return Status::OK();

@@ -30,7 +30,7 @@ namespace eeb::index {
 /// Tuning knobs; defaults follow the C2LSH paper's recommendations scaled to
 /// our surrogate datasets.
 struct C2LshOptions {
-  uint32_t num_functions = 16;     ///< m, number of atomic hash functions
+  uint32_t num_functions = 16;     ///< m, atomic hash functions (<= 255)
   uint32_t collision_threshold = 8;  ///< l, collisions to become candidate
   double bucket_width = 1.0;       ///< w; scaled by data spread at build
   double approximation_ratio = 2.0;  ///< c, radius growth factor
@@ -50,6 +50,10 @@ class C2Lsh : public CandidateIndex {
   static Status Build(const Dataset& data, const C2LshOptions& options,
                       std::unique_ptr<C2Lsh>* out);
 
+  /// Admits points in the order they reach `l` collisions, up to k + beta
+  /// (returned sorted by id), and stops scanning at that target. `stats` is
+  /// charged one random page per (function, level) probed plus the id-list
+  /// bytes actually scanned.
   Status Candidates(std::span<const Scalar> q, size_t k,
                     std::vector<PointId>* out,
                     storage::IoStats* stats) override;
@@ -81,19 +85,17 @@ class C2Lsh : public CandidateIndex {
   double width_;  // effective bucket width after auto-scaling
   size_t n_ = 0;
 
-  // Per function: projection vector, offset, and (key, id) pairs sorted by
-  // key for interval widening during virtual rehashing.
+  // Per function: projection vector, offset, and the points sorted by
+  // (key, id) for interval widening during virtual rehashing. Keys and ids
+  // are separate arrays: binary search touches keys only, and the collision
+  // scan streams 4-byte ids.
   std::vector<std::vector<double>> proj_;
   std::vector<double> shift_;
-  struct Entry {
-    int64_t key;
-    PointId id;
-    bool operator<(const Entry& o) const {
-      if (key != o.key) return key < o.key;
-      return id < o.id;
-    }
+  struct Table {
+    std::vector<int64_t> keys;
+    std::vector<PointId> ids;
   };
-  std::vector<std::vector<Entry>> tables_;
+  std::vector<Table> tables_;
 
   std::atomic<double> last_radius_{0.0};
 

@@ -11,6 +11,7 @@
 #include "hist/serialize.h"
 #include "workload/generator.h"
 #include "workload/registry.h"
+#include "test_util.h"
 
 namespace eeb {
 namespace {
@@ -45,7 +46,7 @@ Built BuildOne(const std::string& dir) {
 
 TEST(DeterminismTest, TwoBuildsAgreeEndToEnd) {
   const std::string base =
-      (std::filesystem::temp_directory_path() / "eeb_det").string();
+      test::UniqueTempPath("eeb_det");
   Built a = BuildOne(base + "/a");
   Built b = BuildOne(base + "/b");
 
@@ -86,7 +87,7 @@ TEST(DeterminismTest, TwoBuildsAgreeEndToEnd) {
 
 TEST(DeterminismTest, PercentilesOrdered) {
   const std::string dir =
-      (std::filesystem::temp_directory_path() / "eeb_det_p").string();
+      test::UniqueTempPath("eeb_det_p");
   Built b = BuildOne(dir);
   ASSERT_TRUE(b.system->ConfigureCache(core::CacheMethod::kHcO, 40000).ok());
   core::AggregateResult agg;

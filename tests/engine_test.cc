@@ -15,13 +15,13 @@
 #include "hist/builders.h"
 #include "index/lsh/c2lsh.h"
 #include "storage/env.h"
+#include "test_util.h"
 
 namespace eeb::core {
 namespace {
 
 std::string TempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / ("eeb_engine_" + name))
-      .string();
+  return test::UniqueTempPath("eeb_engine_" + name);
 }
 
 class EngineTest : public ::testing::Test {

@@ -7,6 +7,7 @@
 
 #include "core/maintenance.h"
 #include "workload/generator.h"
+#include "test_util.h"
 
 namespace eeb::core {
 namespace {
@@ -49,7 +50,7 @@ TEST(DriftTest, SymmetricAndBounded) {
 class MaintainerTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = (std::filesystem::temp_directory_path() / "eeb_maint").string();
+    dir_ = test::UniqueTempPath("eeb_maint");
     std::filesystem::create_directories(dir_);
 
     workload::DatasetSpec dspec;
@@ -78,6 +79,11 @@ class MaintainerTest : public ::testing::Test {
                     .ok());
     ASSERT_TRUE(
         system_->ConfigureCache(CacheMethod::kHcO, 50000).ok());
+  }
+
+  void TearDown() override {
+    system_.reset();
+    std::filesystem::remove_all(dir_);
   }
 
   std::string dir_;

@@ -16,6 +16,7 @@
 #include "storage/file_ordering.h"
 #include "storage/mem_env.h"
 #include "workload/generator.h"
+#include "test_util.h"
 
 namespace eeb {
 namespace {
@@ -41,7 +42,7 @@ TEST(ZipfEdgeTest, SingleItem) {
 
 TEST(SystemErrorsTest, RejectsHugeTauAndServesWithoutCache) {
   const std::string dir =
-      (std::filesystem::temp_directory_path() / "eeb_sys_err").string();
+      test::UniqueTempPath("eeb_sys_err");
   std::filesystem::create_directories(dir);
   workload::DatasetSpec dspec;
   dspec.n = 1000;

@@ -15,6 +15,7 @@
 #include "index/lsh/multiprobe.h"
 #include "index/mtree/mtree.h"
 #include "workload/generator.h"
+#include "test_util.h"
 
 namespace eeb::index {
 namespace {
@@ -52,7 +53,7 @@ class MTreeTest : public ::testing::Test {
  protected:
   void SetUp() override {
     data_ = MakeData(3000, 31);
-    path_ = (std::filesystem::temp_directory_path() / "eeb_mtree").string();
+    path_ = test::UniqueTempPath("eeb_mtree");
     ASSERT_TRUE(
         MTree::Build(storage::Env::Default(), path_, data_, {}, &idx_).ok());
   }

@@ -28,6 +28,7 @@
 #include "obs/window.h"
 #include "storage/mem_env.h"
 #include "workload/generator.h"
+#include "test_util.h"
 
 namespace eeb::obs {
 namespace {
@@ -502,7 +503,7 @@ TEST(ExportTest, JsonEscapesMetricNames) {
 
 TEST(ExportTest, WriteStringToFileRoundTrip) {
   const std::string path =
-      (std::filesystem::temp_directory_path() / "eeb_obs_write.txt").string();
+      test::UniqueTempPath("eeb_obs_write.txt");
   ASSERT_TRUE(WriteStringToFile(path, "payload\n").ok());
   std::ifstream in(path);
   std::stringstream ss;
@@ -590,7 +591,7 @@ TEST(TracerTest, StartSpanClosesLeakedSpan) {
 
 TEST(ObsSystemTest, PipelineInstrumentsFireDuringQueries) {
   const std::string dir =
-      (std::filesystem::temp_directory_path() / "eeb_obs_system").string();
+      test::UniqueTempPath("eeb_obs_system");
   std::filesystem::create_directories(dir);
 
   workload::DatasetSpec dspec;

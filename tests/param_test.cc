@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <memory>
 #include <tuple>
 
 #include "common/dataset.h"
@@ -17,6 +18,7 @@
 #include "hist/builders.h"
 #include "storage/mem_env.h"
 #include "workload/generator.h"
+#include "test_util.h"
 
 namespace eeb {
 namespace {
@@ -156,8 +158,7 @@ using CellParam = std::tuple<core::CacheMethod, uint32_t /*tau*/>;
 class EngineCellP : public ::testing::TestWithParam<CellParam> {
  protected:
   static void SetUpTestSuite() {
-    dir_ = (std::filesystem::temp_directory_path() / "eeb_param_sys")
-               .string();
+    dir_ = test::UniqueTempPath("eeb_param_sys");
     std::filesystem::create_directories(dir_);
     workload::DatasetSpec dspec;
     dspec.n = 4000;
@@ -182,12 +183,14 @@ class EngineCellP : public ::testing::TestWithParam<CellParam> {
 
     // Reference result ids without any cache.
     ASSERT_TRUE(system_->ConfigureCache(core::CacheMethod::kNone, 0).ok());
-    reference_ = new std::vector<std::vector<PointId>>();
+    // Published only once complete, so a failed query leaves it null.
+    auto reference = std::make_unique<std::vector<std::vector<PointId>>>();
     for (const auto& q : log_->test) {
       core::QueryResult r;
       ASSERT_TRUE(system_->Query(q, 10, &r).ok());
-      reference_->push_back(r.result_ids);
+      reference->push_back(r.result_ids);
     }
+    reference_ = reference.release();
   }
 
   static void TearDownTestSuite() {
@@ -196,6 +199,14 @@ class EngineCellP : public ::testing::TestWithParam<CellParam> {
     delete log_;
     delete data_;
     std::filesystem::remove_all(dir_);
+  }
+
+  // A failed ASSERT in SetUpTestSuite is reported once and leaves system_
+  // (or reference_) null; skip the tests rather than dereference it.
+  void SetUp() override {
+    if (system_ == nullptr || reference_ == nullptr) {
+      GTEST_SKIP() << "suite set-up failed";
+    }
   }
 
   static std::string dir_;

@@ -19,6 +19,7 @@
 #include "obs/metrics.h"
 #include "obs/prof.h"
 #include "workload/generator.h"
+#include "test_util.h"
 
 namespace eeb::obs {
 namespace {
@@ -204,7 +205,7 @@ TEST(ProfilerTest, ExportProfileJsonShape) {
 
 TEST(ProfilerSystemTest, PipelinePhasesAppearAndNestCorrectly) {
   const std::string dir =
-      (std::filesystem::temp_directory_path() / "eeb_prof_system").string();
+      test::UniqueTempPath("eeb_prof_system");
   std::filesystem::create_directories(dir);
 
   workload::DatasetSpec dspec;

@@ -10,6 +10,7 @@
 #include "common/random.h"
 #include "core/system.h"
 #include "workload/generator.h"
+#include "test_util.h"
 
 namespace eeb {
 namespace {
@@ -48,9 +49,7 @@ TEST_P(SeedSweep, CachingInvariantsHoldEndToEnd) {
   auto log = workload::GenerateQueryLog(data, qspec);
 
   const std::string dir =
-      (std::filesystem::temp_directory_path() /
-       ("eeb_seed_" + std::to_string(seed)))
-          .string();
+      test::UniqueTempPath("eeb_seed_" + std::to_string(seed));
   std::filesystem::create_directories(dir);
 
   core::SystemOptions opt;

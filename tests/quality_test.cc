@@ -8,6 +8,7 @@
 #include "core/quality.h"
 #include "core/system.h"
 #include "workload/generator.h"
+#include "test_util.h"
 
 namespace eeb::core {
 namespace {
@@ -67,7 +68,7 @@ TEST(QualityTest, CachingDoesNotAffectQualityEndToEnd) {
   // The paper's Sec. 2.2 claim, measured: LSH quality (recall, ratio) is
   // identical with and without the cache.
   const std::string dir =
-      (std::filesystem::temp_directory_path() / "eeb_quality").string();
+      test::UniqueTempPath("eeb_quality");
   std::filesystem::create_directories(dir);
   workload::DatasetSpec dspec;
   dspec.n = 4000;

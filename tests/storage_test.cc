@@ -14,13 +14,13 @@
 #include "storage/file_ordering.h"
 #include "storage/io_stats.h"
 #include "storage/point_file.h"
+#include "test_util.h"
 
 namespace eeb::storage {
 namespace {
 
 std::string TempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / ("eeb_test_" + name))
-      .string();
+  return test::UniqueTempPath("eeb_test_" + name);
 }
 
 Dataset RandomData(size_t n, size_t dim, uint64_t seed) {

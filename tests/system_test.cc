@@ -9,6 +9,7 @@
 
 #include "core/system.h"
 #include "workload/generator.h"
+#include "test_util.h"
 
 namespace eeb::core {
 namespace {
@@ -16,8 +17,7 @@ namespace {
 class SystemTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    dir_ = (std::filesystem::temp_directory_path() / "eeb_system_test")
-               .string();
+    dir_ = test::UniqueTempPath("eeb_system_test");
     std::filesystem::create_directories(dir_);
 
     workload::DatasetSpec dspec;
@@ -50,6 +50,12 @@ class SystemTest : public ::testing::Test {
     delete log_;
     delete data_;
     std::filesystem::remove_all(dir_);
+  }
+
+  // A failed ASSERT in SetUpTestSuite is reported once and leaves system_
+  // null; skip the tests rather than dereference it.
+  void SetUp() override {
+    if (system_ == nullptr) GTEST_SKIP() << "suite set-up failed";
   }
 
   // Runs the test queries under a method and returns the aggregate.

@@ -17,13 +17,13 @@
 #include "index/linear_scan.h"
 #include "index/tree_common.h"
 #include "index/vptree/vptree.h"
+#include "test_util.h"
 
 namespace eeb::index {
 namespace {
 
 std::string TempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / ("eeb_tree_" + name))
-      .string();
+  return test::UniqueTempPath("eeb_tree_" + name);
 }
 
 Dataset ClusteredData(size_t n, size_t dim, uint64_t seed) {

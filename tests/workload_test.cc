@@ -14,6 +14,7 @@
 #include "index/lsh/c2lsh.h"
 #include "workload/generator.h"
 #include "workload/registry.h"
+#include "test_util.h"
 
 namespace eeb {
 namespace {
@@ -194,7 +195,7 @@ TEST(WorkloadAnalysisTest, TreeWorkloadCountsLeaves) {
   dspec.dim = 16;
   Dataset d = workload::GenerateClustered(dspec);
   const std::string path =
-      (std::filesystem::temp_directory_path() / "eeb_wl_tree").string();
+      test::UniqueTempPath("eeb_wl_tree");
   index::IDistanceOptions opt;
   opt.num_partitions = 8;
   std::unique_ptr<index::IDistance> idx;

@@ -35,6 +35,8 @@
 // --deadline-ms the queue wait counts against each query's end-to-end
 // deadline. The summary then reports the shed reconciliation.
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -233,9 +235,19 @@ int CmdQuery(const Args& args) {
     log = workload::GenerateQueryLog(data, lspec);
   }
 
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "eeb_cli").string();
+  // A working directory of this process's own, so concurrent invocations
+  // never share point files; removed when the command returns.
+  const std::string dir = (std::filesystem::temp_directory_path() /
+                           ("eeb_cli_" + std::to_string(getpid())))
+                              .string();
   std::filesystem::create_directories(dir);
+  struct DirRemover {
+    std::string path;
+    ~DirRemover() {
+      std::error_code ec;
+      std::filesystem::remove_all(path, ec);
+    }
+  } remove_dir{dir};
 
   core::SystemOptions opt;
   opt.ndom = ndom;
