@@ -48,6 +48,27 @@ std::span<BucketId> CodeCacheBase::Scratch() const {
   return {buf.data(), dim_};
 }
 
+uint64_t* CodeCacheBase::WordScratch() const {
+  thread_local std::vector<uint64_t> buf;
+  const size_t words = WordsForBits(dim_ * tau());
+  if (buf.size() < words) buf.resize(words);
+  return buf.data();
+}
+
+void CodeCacheBase::LinkFront(uint32_t slot) {
+  prev_[slot] = kNoSlot;
+  next_[slot] = head_;
+  if (head_ != kNoSlot) prev_[head_] = slot;
+  head_ = slot;
+  if (tail_ == kNoSlot) tail_ = slot;
+}
+
+void CodeCacheBase::Unlink(uint32_t slot) {
+  const uint32_t p = prev_[slot], n = next_[slot];
+  (p == kNoSlot ? head_ : next_[p]) = n;
+  (n == kNoSlot ? tail_ : prev_[n]) = p;
+}
+
 // Static fill runs before the cache is published to engine threads; the
 // Fill callers nevertheless hold mu_ (uncontended, once per build) so the
 // analysis can prove the slot-table writes instead of suppressing them.
@@ -56,61 +77,81 @@ void CodeCacheBase::InsertStatic(PointId id, std::span<const BucketId> codes) {
   const uint32_t slot = store_.AllocateSlot();
   store_.Write(slot, codes);
   slot_of_[id] = slot;
-  if (lru_) lru_list_.Insert(id);
+  if (lru_) {
+    id_of_slot_.push_back(id);
+    prev_.push_back(kNoSlot);
+    next_.push_back(kNoSlot);
+    LinkFront(slot);
+  }
   item_count_.store(slot_of_.size(), std::memory_order_relaxed);
   NoteFillInsert();
 }
 
 void CodeCacheBase::AdmitCodes(PointId id, std::span<const BucketId> codes) {
   if (capacity_items_ == 0) return;
-  MutexLock lock(mu_);
-  auto it = slot_of_.find(id);
-  if (it != slot_of_.end()) {
-    lru_list_.Touch(id);
-    return;
-  }
-  uint32_t slot;
-  if (slot_of_.size() < capacity_items_) {
-    if (!free_slots_.empty()) {
-      slot = free_slots_.back();
-      free_slots_.pop_back();
-    } else {
-      slot = store_.AllocateSlot();
+  uint64_t* words = WordScratch();
+  CodeStore::Pack(codes, tau(), words);
+  bool evicted = false;
+  {
+    SpinMutexLock lock(mu_);
+    auto it = slot_of_.find(id);
+    if (it != slot_of_.end()) {
+      Unlink(it->second);
+      LinkFront(it->second);
+      return;
     }
-  } else {
-    const PointId victim = lru_list_.EvictBack();
-    auto vit = slot_of_.find(victim);
-    slot = vit->second;
-    slot_of_.erase(vit);
-    NoteEviction();
+    uint32_t slot;
+    if (slot_of_.size() < capacity_items_) {
+      slot = store_.AllocateSlot();
+      id_of_slot_.push_back(id);
+      prev_.push_back(kNoSlot);
+      next_.push_back(kNoSlot);
+    } else {
+      // Recycle the least recent slot in place.
+      slot = tail_;
+      Unlink(slot);
+      slot_of_.erase(id_of_slot_[slot]);
+      id_of_slot_[slot] = id;
+      evicted = true;
+    }
+    store_.WriteWords(slot, words);
+    slot_of_.emplace(id, slot);
+    LinkFront(slot);
+    item_count_.store(slot_of_.size(), std::memory_order_relaxed);
   }
-  store_.Write(slot, codes);
-  slot_of_[id] = slot;
-  lru_list_.Insert(id);
-  item_count_.store(slot_of_.size(), std::memory_order_relaxed);
+  if (evicted) NoteEviction();
   NoteAdmit();
 }
 
 bool CodeCacheBase::LookupCodes(PointId id, std::span<BucketId> codes) {
-  if (lru_) {
-    // The recency touch and the slot read mutate/follow shared state; the
-    // whole lookup holds the lock so a concurrent eviction cannot recycle
-    // the slot mid-decode.
-    MutexLock lock(mu_);
-    return LookupLocked(id, codes);
+  if (!lru_) return LookupStatic(id, codes);
+  // The recency touch and the slot read follow shared state, so they hold
+  // the lock: a concurrent eviction could otherwise recycle the slot
+  // mid-copy. The decode works on the copy, after the lock is released.
+  uint64_t* words = WordScratch();
+  bool hit;
+  {
+    SpinMutexLock lock(mu_);
+    hit = LookupLocked(id, words);
   }
-  return LookupStatic(id, codes);
-}
-
-bool CodeCacheBase::LookupLocked(PointId id, std::span<BucketId> codes) {
-  auto it = slot_of_.find(id);
-  if (it == slot_of_.end()) {
+  if (!hit) {
     NoteMiss();
     return false;
   }
   NoteHit();
-  lru_list_.Touch(id);
-  store_.Read(it->second, codes);
+  CodeStore::Unpack(words, tau(), codes);
+  return true;
+}
+
+bool CodeCacheBase::LookupLocked(PointId id, uint64_t* words) {
+  auto it = slot_of_.find(id);
+  if (it == slot_of_.end()) return false;
+  const uint32_t slot = it->second;
+  if (slot != head_) {
+    Unlink(slot);
+    LinkFront(slot);
+  }
+  store_.CopyWords(slot, words);
   return true;
 }
 
@@ -142,7 +183,7 @@ Status HistCodeCache::Fill(const Dataset& data,
   std::span<BucketId> buf = Scratch();
   // Pre-publication, so the lock is uncontended; holding it lets the
   // analysis prove the fill path instead of exempting it.
-  MutexLock lock(mu_);
+  SpinMutexLock lock(mu_);
   for (PointId id : ids_by_freq) {
     if (slot_of_.size() >= capacity_items_) break;
     EncodeGlobal(*hist_, data.point(id), buf);
@@ -181,7 +222,7 @@ Status IndividualCodeCache::Fill(const Dataset& data,
   }
   std::span<BucketId> buf = Scratch();
   // Pre-publication; see HistCodeCache::Fill.
-  MutexLock lock(mu_);
+  SpinMutexLock lock(mu_);
   for (PointId id : ids_by_freq) {
     if (slot_of_.size() >= capacity_items_) break;
     EncodeIndividual(*hists_, data.point(id), buf);

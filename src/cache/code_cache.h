@@ -12,13 +12,16 @@
 // immutable after Fill, so probes are lock-free — they only touch the
 // read-only slot table / code store plus the per-thread counter shards and
 // a thread_local decode buffer. Under the LRU policy probes and admissions
-// mutate the slot table, recency list and store, so the whole mutating path
-// serializes behind `mu_`.
+// mutate the slot table, recency list and store, so they serialize behind
+// `mu_`. The critical section is kept to the slot lookup, an O(1) recency
+// relink and a copy of the packed words: encoding, packing and decoding run
+// outside it, and a full cache recycles its victim's slot in place.
 
 #ifndef EEB_CACHE_CODE_CACHE_H_
 #define EEB_CACHE_CODE_CACHE_H_
 
 #include <atomic>
+#include <cstdint>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -76,21 +79,32 @@ class CodeCacheBase : public KnnCache {
       EEB_EXCLUDES(mu_);
 
   /// Looks up `id`; on hit decodes into `codes` (dim_ entries) and returns
-  /// true. Lock-free on static caches; takes `mu_` under LRU (the recency
-  /// touch and the decode must see a consistent slot).
+  /// true. Lock-free on static caches; under LRU it takes `mu_` for the
+  /// recency touch and a copy of the slot's words, and decodes the copy
+  /// after releasing it.
   bool LookupCodes(PointId id, std::span<BucketId> codes) EEB_EXCLUDES(mu_);
 
   /// Thread-local decode/encode scratch of dim_ entries, shared across
   /// cache instances (contents never outlive one call).
   std::span<BucketId> Scratch() const;
 
-  Mutex mu_;  // guards the slot table / store / recency list (see below)
+  /// Thread-local packed-word scratch of one item, like Scratch().
+  uint64_t* WordScratch() const;
+
+  SpinMutex mu_;  // guards the slot table / store / recency list (see below)
   const size_t dim_;
   const bool lru_;
 
  private:
-  /// LRU lookup: the recency touch and the slot decode hold `mu_`.
-  bool LookupLocked(PointId id, std::span<BucketId> codes) EEB_REQUIRES(mu_);
+  /// LRU lookup: under `mu_`, finds the slot, makes it most recent and
+  /// copies its packed words into `words`. False on a miss.
+  bool LookupLocked(PointId id, uint64_t* words) EEB_REQUIRES(mu_);
+
+  // The recency list is doubly linked through slot indexes (prev_/next_),
+  // so a touch or an eviction relinks array entries: no hashing, no
+  // allocation.
+  void LinkFront(uint32_t slot) EEB_REQUIRES(mu_);
+  void Unlink(uint32_t slot) EEB_REQUIRES(mu_);
 
   /// Static (HFF) lookup. Invariant that makes the suppression sound: a
   /// statically filled cache is immutable after Fill — ConfigureCache
@@ -102,8 +116,13 @@ class CodeCacheBase : public KnnCache {
  protected:
   CodeStore store_ EEB_GUARDED_BY(mu_);
   std::unordered_map<PointId, uint32_t> slot_of_ EEB_GUARDED_BY(mu_);
-  std::vector<uint32_t> free_slots_ EEB_GUARDED_BY(mu_);
-  LruTracker lru_list_ EEB_GUARDED_BY(mu_);
+  // LRU only, indexed by slot: the cached id and the recency links.
+  std::vector<PointId> id_of_slot_ EEB_GUARDED_BY(mu_);
+  std::vector<uint32_t> prev_ EEB_GUARDED_BY(mu_);
+  std::vector<uint32_t> next_ EEB_GUARDED_BY(mu_);
+  static constexpr uint32_t kNoSlot = UINT32_MAX;
+  uint32_t head_ EEB_GUARDED_BY(mu_) = kNoSlot;  // most recent
+  uint32_t tail_ EEB_GUARDED_BY(mu_) = kNoSlot;  // next victim
   // Mirror of slot_of_.size(), refreshed under mu_ at the end of every
   // mutation; lets size() (and the per-query occupancy gauge behind it)
   // read occupancy without taking the LRU lock.

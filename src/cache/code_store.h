@@ -6,6 +6,7 @@
 #ifndef EEB_CACHE_CODE_STORE_H_
 #define EEB_CACHE_CODE_STORE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <list>
 #include <span>
@@ -46,35 +47,64 @@ class CodeStore {
     return slot;
   }
 
+  /// Words one item occupies.
+  size_t words_per_item() const { return words_per_item_; }
+
   /// Overwrites slot contents with the given codes.
   void Write(uint32_t slot, std::span<const BucketId> codes) {
-    uint64_t* base = words_.data() + static_cast<size_t>(slot) * words_per_item_;
-    for (size_t w = 0; w < words_per_item_; ++w) base[w] = 0;
-    size_t bit = 0;
-    for (size_t j = 0; j < codes_per_item_; ++j) {
-      const size_t word = bit >> 6;
-      const unsigned shift = bit & 63;
-      const uint64_t value = codes[j];
-      base[word] |= value << shift;
-      if (shift + bits_per_code_ > 64) {
-        base[word + 1] |= value >> (64 - shift);
-      }
-      bit += bits_per_code_;
-    }
+    Pack(codes, bits_per_code_, SlotWords(slot));
+  }
+
+  /// Overwrites slot contents with words made by Pack.
+  void WriteWords(uint32_t slot, const uint64_t* words) {
+    std::copy_n(words, words_per_item_, SlotWords(slot));
   }
 
   /// Decodes slot contents into `out` (must have codes_per_item entries).
   void Read(uint32_t slot, std::span<BucketId> out) const {
-    const uint64_t* base =
-        words_.data() + static_cast<size_t>(slot) * words_per_item_;
+    Unpack(SlotWords(slot), bits_per_code_, out);
+  }
+
+  /// Copies the packed words of `slot` into `out` (words_per_item entries),
+  /// for a caller that decodes them with Unpack after releasing a lock.
+  void CopyWords(uint32_t slot, uint64_t* out) const {
+    std::copy_n(SlotWords(slot), words_per_item_, out);
+  }
+
+  /// Packs `codes` at `bits` each into `out`, which must hold
+  /// WordsForBits(codes.size() * bits) words.
+  static void Pack(std::span<const BucketId> codes, uint32_t bits,
+                   uint64_t* out) {
+    std::fill_n(out, WordsForBits(codes.size() * bits), 0);
     size_t bit = 0;
-    for (size_t j = 0; j < codes_per_item_; ++j) {
-      out[j] = static_cast<BucketId>(UnpackBits(base, bit, bits_per_code_));
-      bit += bits_per_code_;
+    for (const BucketId code : codes) {
+      const size_t word = bit >> 6;
+      const unsigned shift = bit & 63;
+      const uint64_t value = code;
+      out[word] |= value << shift;
+      if (shift + bits > 64) out[word + 1] |= value >> (64 - shift);
+      bit += bits;
+    }
+  }
+
+  /// Inverse of Pack: decodes out.size() codes of `bits` each.
+  static void Unpack(const uint64_t* words, uint32_t bits,
+                     std::span<BucketId> out) {
+    size_t bit = 0;
+    for (BucketId& code : out) {
+      code = static_cast<BucketId>(UnpackBits(words, bit, bits));
+      bit += bits;
     }
   }
 
  private:
+  uint64_t* SlotWords(uint32_t slot) {
+    return words_.data() + static_cast<size_t>(slot) * words_per_item_;
+  }
+  const uint64_t* SlotWords(uint32_t slot) const {
+    return words_.data() + static_cast<size_t>(slot) * words_per_item_;
+  }
+
   size_t codes_per_item_;
   uint32_t bits_per_code_;
   size_t words_per_item_;

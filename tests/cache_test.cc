@@ -238,6 +238,51 @@ TEST(HistCodeCacheTest, LruAdmitEncodesFromExactPoint) {
   EXPECT_TRUE(cache.Probe(q, 3, &lb, &ub));
 }
 
+TEST(HistCodeCacheTest, LruEvictsLeastRecentAndRecyclesSlots) {
+  Dataset data = RandomData(20, 16, 64, 29);
+  hist::Histogram h;
+  ASSERT_TRUE(hist::BuildEquiWidth(64, 8, &h).ok());
+  // 16 dims * 3 bits -> one word per item; room for three items.
+  HistCodeCache cache(&h, 16, 3 * 8, /*lru=*/true);
+  ASSERT_EQ(cache.capacity_items(), 3u);
+  Rng rng(61);
+  std::vector<Scalar> q(16);
+  for (auto& v : q) v = static_cast<Scalar>(rng.Uniform(64));
+  std::vector<BucketId> codes(16);
+  auto bounds_match = [&](PointId id) {
+    double lb, ub;
+    if (!cache.Probe(q, id, &lb, &ub)) return false;
+    EncodeGlobal(h, data.point(id), codes);
+    double elb, eub;
+    hist::CodeBoundsGlobal(h, q, codes, &elb, &eub);
+    return lb == elb && ub == eub;
+  };
+
+  cache.Admit(0, data.point(0));
+  cache.Admit(1, data.point(1));
+  cache.Admit(2, data.point(2));
+  EXPECT_TRUE(bounds_match(0));  // recency now 0, 2, 1
+  cache.Admit(1, data.point(1));  // re-admission only touches: 1, 0, 2
+  cache.Admit(3, data.point(3));  // evicts 2
+  cache.Admit(4, data.point(4));  // evicts 0
+  EXPECT_EQ(cache.size(), 3u);
+  EXPECT_EQ(cache.activity().evictions, 2u);
+  double lb, ub;
+  EXPECT_FALSE(cache.Probe(q, 2, &lb, &ub));
+  EXPECT_FALSE(cache.Probe(q, 0, &lb, &ub));
+  // The recycled slots hold the new points' codes, not their victims'.
+  EXPECT_TRUE(bounds_match(1));
+  EXPECT_TRUE(bounds_match(3));
+  EXPECT_TRUE(bounds_match(4));
+  // Sweeping far more ids than slots keeps exactly the last three.
+  for (PointId id = 5; id < 20; ++id) cache.Admit(id, data.point(id));
+  EXPECT_EQ(cache.size(), 3u);
+  for (PointId id = 0; id < 17; ++id) {
+    EXPECT_FALSE(cache.Probe(q, id, &lb, &ub));
+  }
+  for (PointId id = 17; id < 20; ++id) EXPECT_TRUE(bounds_match(id));
+}
+
 // ------------------------------------------------------ IndividualCodeCache
 
 TEST(IndividualCodeCacheTest, ProbeMatchesDirectBounds) {

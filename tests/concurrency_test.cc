@@ -14,13 +14,17 @@
 #include <thread>
 #include <vector>
 
+#include "cache/code_cache.h"
 #include "cache/exact_cache.h"
 #include "cache/knn_cache.h"
 #include "common/dataset.h"
+#include "common/mutex.h"
+#include "common/random.h"
 #include "core/health.h"
 #include "core/system.h"
 #include "core/task_queue.h"
 #include "core/thread_pool.h"
+#include "hist/builders.h"
 #include "hist/frequency.h"
 #include "storage/mem_env.h"
 #include "workload/generator.h"
@@ -569,6 +573,83 @@ TEST(ConcurrencyTest, CacheSizeReadableWhileAdmitting) {
   EXPECT_GT(polls.load(), 0u);
   EXPECT_GT(cache.size(), 0u);
   EXPECT_LE(cache.size(), kCapacityItems);
+}
+
+TEST(SpinMutexTest, ExcludesSpinnersAndParkedWaiters) {
+  SpinMutex mu;
+  uint64_t counter = 0;  // plain: only the lock orders the increments
+  constexpr uint64_t kIncrements = 20000;
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&mu, &counter, t] {
+      for (uint64_t i = 0; i < kIncrements; ++i) {
+        SpinMutexLock lock(mu);
+        ++counter;
+        // Now and then hold the lock past the spin budget, so the waiters
+        // park and the unlock path has sleepers to wake.
+        if (i % 5000 == t) {
+          std::this_thread::sleep_for(std::chrono::microseconds(200));
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  SpinMutexLock lock(mu);
+  EXPECT_EQ(counter, kThreads * kIncrements);
+}
+
+TEST(ConcurrencyTest, LruCodeCacheHitsDecodeTheAdmittedCodes) {
+  // Threads admit and probe overlapping ids in an LRU code cache far
+  // smaller than the id range, so slots are recycled while others read
+  // them. Every hit must decode exactly the codes of the point it was
+  // asked for: a probe copies the packed words under the lock and decodes
+  // after releasing it.
+  constexpr size_t kDim = 16;
+  constexpr PointId kIds = 256;
+  Rng rng(71);
+  Dataset data(kDim);
+  std::vector<Scalar> p(kDim);
+  for (PointId i = 0; i < kIds; ++i) {
+    for (auto& v : p) v = static_cast<Scalar>(rng.Uniform(64));
+    data.Append(p);
+  }
+  hist::Histogram h;
+  ASSERT_TRUE(hist::BuildEquiWidth(64, 8, &h).ok());
+  constexpr size_t kCapacityItems = 32;  // 16 dims * 3 bits: one word each
+  cache::HistCodeCache cache(&h, kDim, kCapacityItems * 8, /*lru=*/true);
+  std::vector<Scalar> q(kDim, 20);
+  std::vector<double> want_lb(kIds), want_ub(kIds);
+  std::vector<BucketId> codes(kDim);
+  for (PointId id = 0; id < kIds; ++id) {
+    cache::EncodeGlobal(h, data.point(id), codes);
+    hist::CodeBoundsGlobal(h, q, codes, &want_lb[id], &want_ub[id]);
+  }
+  std::atomic<uint64_t> hits{0}, wrong{0};
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      Rng r(100 + t);
+      for (int i = 0; i < 20000; ++i) {
+        const PointId id = static_cast<PointId>(r.Uniform(kIds));
+        double lb, ub;
+        if (cache.Probe(q, id, &lb, &ub)) {
+          hits.fetch_add(1, std::memory_order_relaxed);
+          if (lb != want_lb[id] || ub != want_ub[id]) {
+            wrong.fetch_add(1, std::memory_order_relaxed);
+          }
+        } else {
+          cache.Admit(id, data.point(id));
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_GT(hits.load(), 0u);
+  EXPECT_EQ(wrong.load(), 0u);
+  EXPECT_EQ(cache.size(), kCapacityItems);
+  const auto activity = cache.activity();
+  EXPECT_EQ(activity.admits - activity.evictions, kCapacityItems);
+  EXPECT_EQ(activity.hits, hits.load());
 }
 
 // ---- Open-loop serving (System::Serve) ------------------------------------
