@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <cctype>
 #include <cstdlib>
 #include <filesystem>
@@ -41,16 +42,30 @@ std::string SanitizeId(const std::string& id) {
 void Check(const Status& st, const char* what) {
   if (!st.ok()) {
     std::fprintf(stderr, "FATAL %s: %s\n", what, st.ToString().c_str());
+    // std::exit runs no destructors: a live Workbench leaves its directory.
     std::exit(1);
   }
+}
+
+Workbench::~Workbench() {
+  // The system holds the point file open under `dir`: close it first.
+  system.reset();
+  if (dir.empty()) return;
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
 }
 
 std::unique_ptr<Workbench> MakeWorkbench(workload::DatasetSpec spec,
                                          core::SystemOptions opt) {
   auto wb = std::make_unique<Workbench>();
   wb->spec = workload::MaybeQuick(spec);
+  // One directory per workbench, not per dataset: several workbenches over
+  // one dataset (bench_fig09_ordering) must not overwrite each other's
+  // point file.
+  static std::atomic<int> seq{0};
   wb->dir = (std::filesystem::temp_directory_path() /
-             ("eeb_bench_" + wb->spec.name + "_" + std::to_string(getpid())))
+             ("eeb_bench_" + wb->spec.name + "_" + std::to_string(getpid()) +
+              "_" + std::to_string(seq.fetch_add(1))))
                 .string();
   std::filesystem::create_directories(wb->dir);
 

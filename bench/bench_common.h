@@ -18,8 +18,16 @@
 
 namespace eeb::bench {
 
-/// Everything one experiment needs for one dataset.
+/// Everything one experiment needs for one dataset. Destroying it removes
+/// `dir`, the eeb_bench_<dataset>_<pid>_<seq> working directory that
+/// MakeWorkbench created. A Check() failure calls std::exit, which runs no
+/// destructors, so that path still leaves the directory behind.
 struct Workbench {
+  Workbench() = default;
+  Workbench(const Workbench&) = delete;
+  Workbench& operator=(const Workbench&) = delete;
+  ~Workbench();
+
   workload::DatasetSpec spec;
   Dataset data;
   workload::QueryLog log;

@@ -83,11 +83,6 @@ bool ExactCache::ProbeStatic(std::span<const Scalar> q, PointId id,
 
 uint32_t ExactCache::SlotFor() {
   if (slot_of_.size() < capacity_items_) {
-    if (!free_slots_.empty()) {
-      uint32_t slot = free_slots_.back();
-      free_slots_.pop_back();
-      return slot;
-    }
     const uint32_t slot = static_cast<uint32_t>(values_.size() / dim_);
     values_.resize(values_.size() + dim_);
     return slot;

@@ -72,7 +72,6 @@ class ExactCache : public KnnCache {
   Mutex mu_;  // guards the slot table / values / recency list
   std::unordered_map<PointId, uint32_t> slot_of_ EEB_GUARDED_BY(mu_);
   std::vector<Scalar> values_ EEB_GUARDED_BY(mu_);  // slot-major storage
-  std::vector<uint32_t> free_slots_ EEB_GUARDED_BY(mu_);
   LruTracker lru_list_ EEB_GUARDED_BY(mu_);
   // Mirror of slot_of_.size(), refreshed under mu_ at the end of every
   // mutation; lets size() (and the occupancy gauge) skip the LRU lock.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <optional>
 
 #include "common/bitops.h"
 #include "common/timer.h"
@@ -223,9 +224,14 @@ void System::SampleWorkerGauges() {
   if (health_ != nullptr) health_->Evaluate(window_->GetSnapshot());
 }
 
-void System::StampBreakerState(QueryResult* r) {
-  if (breaker_env_ == nullptr) return;
-  r->explain.breaker_state = static_cast<uint8_t>(breaker_env_->state());
+ModeledTime System::ModeledResponse(const QueryResult& r) const {
+  storage::IoStats io = r.gen_io;
+  io += r.refine_io;
+  ModeledTime t;
+  t.io_seconds = disk_model_.Seconds(io);
+  t.response_seconds =
+      r.gen_seconds + r.reduce_seconds + r.refine_seconds + t.io_seconds;
+  return t;
 }
 
 void System::MarkShed(QueryResult* r, obs::ShedCause cause,
@@ -235,14 +241,17 @@ void System::MarkShed(QueryResult* r, obs::ShedCause cause,
   r->queue_wait_ms = queue_wait_ms;
   r->explain.shed_cause = cause;
   r->explain.queue_wait_ms = queue_wait_ms;
-  StampBreakerState(r);
-  RecordQueryTelemetry(*r, query_index);
+  FinishQuery(r, query_index);
 }
 
-void System::RecordQueryTelemetry(const QueryResult& r,
-                                  uint64_t query_index) {
-  if (window_ == nullptr && recorder_ == nullptr) return;
-  if (r.shed) {
+void System::FinishQuery(QueryResult* r, uint64_t query_index) {
+  using BreakerState = storage::CircuitBreakerEnv::State;
+  BreakerState breaker = BreakerState::kClosed;
+  if (breaker_env_ != nullptr) {
+    breaker = breaker_env_->state();
+    r->explain.breaker_state = static_cast<uint8_t>(breaker);
+  }
+  if (r->shed) {
     // Nothing executed: record only the shed marker (window) and the
     // explain record carrying the cause (recorder tail-retains it).
     if (window_ != nullptr) {
@@ -253,32 +262,42 @@ void System::RecordQueryTelemetry(const QueryResult& r,
     if (recorder_ != nullptr) {
       obs::QueryRecord record;
       record.query_index = query_index;
-      record.explain = r.explain;
+      record.explain = r->explain;
       recorder_->Record(record);
     }
     return;
   }
-  storage::IoStats io = r.gen_io;
-  io += r.refine_io;
-  // Same modeled response time AggregateResults reports, so windowed
-  // percentiles and batch percentiles measure the same quantity.
-  const double response = r.gen_seconds + r.reduce_seconds +
-                          r.refine_seconds + disk_model_.Seconds(io);
+  if (tracer_ == nullptr && window_ == nullptr && recorder_ == nullptr) return;
+  const ModeledTime modeled = ModeledResponse(*r);
+  if (tracer_ != nullptr) {
+    // The engine just closed this query's span; the tracer is attached only
+    // on the inline executor, so it is the last one.
+    if (obs::QuerySpan* span = tracer_->last_span(); span != nullptr) {
+      span->modeled_io_seconds = modeled.io_seconds;
+      span->response_seconds = modeled.response_seconds;
+      // Surface a non-closed breaker on the span: the query ran against a
+      // disk the breaker currently distrusts.
+      if (breaker != BreakerState::kClosed) {
+        tracer_->AddEvent(span, obs::TraceEventType::kBreakerOpen,
+                          static_cast<uint64_t>(breaker), 0.0);
+      }
+    }
+  }
   if (window_ != nullptr) {
     obs::QuerySample sample;
-    sample.response_seconds = response;
-    sample.candidates = r.candidates;
-    sample.cache_hits = r.cache_hits;
-    sample.read_failures = r.read_failures;
-    sample.degraded = r.degraded;
-    sample.deadline_hit = r.deadline_hit;
+    sample.response_seconds = modeled.response_seconds;
+    sample.candidates = r->candidates;
+    sample.cache_hits = r->cache_hits;
+    sample.read_failures = r->read_failures;
+    sample.degraded = r->degraded;
+    sample.deadline_hit = r->deadline_hit;
     window_->RecordQuery(sample);
   }
   if (recorder_ != nullptr) {
     obs::QueryRecord record;
     record.query_index = query_index;
-    record.response_seconds = response;
-    record.explain = r.explain;
+    record.response_seconds = modeled.response_seconds;
+    record.explain = r->explain;
     recorder_->Record(record);
   }
 }
@@ -590,59 +609,21 @@ Status System::ConfigureCache(CacheMethod method, size_t cache_bytes,
 
 Status System::Query(std::span<const Scalar> q, size_t k, QueryResult* out) {
   EEB_RETURN_IF_ERROR(engine_->Query(q, k, out));
-  StampBreakerState(out);
-  RecordQueryTelemetry(*out, 0);
+  FinishQuery(out, 0);
   return Status::OK();
 }
 
 Status System::RunQueries(const std::vector<std::vector<Scalar>>& queries,
-                          size_t k, AggregateResult* out) {
-  *out = AggregateResult{};
-  if (queries.empty()) return Status::OK();
-  obs::ProfScope batch_scope(profiler_, "run_queries");
-  std::vector<QueryResult> results(queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    EEB_RETURN_IF_ERROR(Query(queries[i], k, &results[i]));
-    if (tracer_ != nullptr) {
-      if (obs::QuerySpan* span = tracer_->last_span(); span != nullptr) {
-        const QueryResult& r = results[i];
-        storage::IoStats io = r.gen_io;
-        io += r.refine_io;
-        span->modeled_io_seconds = disk_model_.Seconds(io);
-        span->response_seconds = r.gen_seconds + r.reduce_seconds +
-                                 r.refine_seconds + span->modeled_io_seconds;
-        // Surface a non-closed breaker on the span: the query ran against a
-        // disk the breaker currently distrusts.
-        if (breaker_env_ != nullptr) {
-          const auto state = breaker_env_->state();
-          if (state != storage::CircuitBreakerEnv::State::kClosed) {
-            tracer_->AddEvent(span, obs::TraceEventType::kBreakerOpen,
-                              static_cast<uint64_t>(state), 0.0);
-          }
-        }
-      }
-    }
-  }
-  AggregateResults(results, out);
-  return Status::OK();
-}
-
-Status System::RunQueriesConcurrent(
-    const std::vector<std::vector<Scalar>>& queries, size_t k,
-    size_t n_threads, AggregateResult* out,
-    std::vector<QueryResult>* per_query) {
+                          size_t k, AggregateResult* out, size_t n_threads,
+                          std::vector<QueryResult>* per_query) {
   *out = AggregateResult{};
   // Blocking admission with no end-to-end deadline: nothing sheds, and the
   // engine runs with a default QueryContext, so results and the aggregate
-  // stay bit-exact with the serial path (docs/CONCURRENCY.md).
+  // are bit-exact at any thread count (docs/CONCURRENCY.md).
   ServeOptions options;
   options.n_threads = n_threads;
-  options.admission = AdmissionPolicy::kBlock;
-  options.deadline_ms = -1.0;
   ServeReport report;
-  EEB_RETURN_IF_ERROR(ServeInternal(queries, k, options,
-                                    "run_queries_concurrent", &report,
-                                    per_query));
+  EEB_RETURN_IF_ERROR(Serve(queries, k, options, &report, per_query));
   *out = report.agg;
   return Status::OK();
 }
@@ -651,26 +632,25 @@ Status System::Serve(const std::vector<std::vector<Scalar>>& queries,
                      size_t k, const ServeOptions& options,
                      ServeReport* report,
                      std::vector<QueryResult>* per_query) {
-  return ServeInternal(queries, k, options, "serve", report, per_query);
-}
-
-Status System::ServeInternal(const std::vector<std::vector<Scalar>>& queries,
-                             size_t k, const ServeOptions& options,
-                             const char* scope_name, ServeReport* report,
-                             std::vector<QueryResult>* per_query) {
   *report = ServeReport{};
   if (per_query != nullptr) per_query->clear();
   if (options.n_threads == 0) {
     return Status::InvalidArgument("n_threads must be positive");
   }
-  if (tracer_ != nullptr) {
+  // With one thread, blocking admission and no end-to-end deadline, no
+  // query can wait in a queue, be shed or see a different budget: run each
+  // one inline on the calling thread, in query order.
+  const bool run_inline = options.n_threads == 1 &&
+                          options.admission == AdmissionPolicy::kBlock &&
+                          options.deadline_ms < 0.0;
+  if (tracer_ != nullptr && !run_inline) {
     // The tracer's span ring is single-threaded by contract; refusing beats
     // silently interleaving spans from different queries.
     return Status::InvalidArgument(
         "detach the tracer before concurrent serving");
   }
   if (queries.empty()) return Status::OK();
-  obs::ProfScope batch_scope(profiler_, scope_name);
+  obs::ProfScope batch_scope(profiler_, "run_queries");
 
   // Brownout shedding only applies on the open-loop policies: blocking
   // admission is the closed-loop batch contract, where dropping a query
@@ -690,7 +670,7 @@ Status System::ServeInternal(const std::vector<std::vector<Scalar>>& queries,
 
   // Every query writes only its own slot, so no result-side synchronization
   // is needed; aggregation then folds the slots in query order, making the
-  // aggregate bit-exact with the serial path when nothing sheds.
+  // aggregate bit-exact across executors when nothing sheds.
   std::vector<QueryResult> results(queries.size());
   std::vector<Status> statuses(queries.size());
   // Admission timestamps: started right before each Submit so queue wait —
@@ -700,94 +680,97 @@ Status System::ServeInternal(const std::vector<std::vector<Scalar>>& queries,
   // Reconciliation counts owned by the admission loop; workers never touch
   // them. shed_expired is the exception: expiry is discovered on a worker.
   std::atomic<size_t> shed_expired{0};
-  {
-    ThreadPool pool(options.n_threads, options.queue_capacity);
-    {
-      MutexLock lock(pool_mu_);
-      active_pool_ = &pool;
+  std::optional<ThreadPool> pool;
+  if (!run_inline) {
+    pool.emplace(options.n_threads, options.queue_capacity);
+    MutexLock lock(pool_mu_);
+    active_pool_ = &*pool;
+  }
+  for (size_t i = 0; i < queries.size(); ++i) {
+    report->submitted++;
+    if (brownout_sheds && health_->ShouldShed()) {
+      report->shed_brownout++;
+      if (shed_counter != nullptr) shed_counter->Add(1);
+      MarkShed(&results[i], obs::ShedCause::kBrownout, 0.0, i);
+      continue;
     }
-    for (size_t i = 0; i < queries.size(); ++i) {
-      report->submitted++;
-      if (brownout_sheds && health_->ShouldShed()) {
-        report->shed_brownout++;
-        if (shed_counter != nullptr) shed_counter->Add(1);
-        MarkShed(&results[i], obs::ShedCause::kBrownout, 0.0, i);
-        continue;
+    auto task = [this, &queries, &results, &statuses, &admitted_at,
+                 &shed_expired, &options, expired_counter, i, k] {
+      const double wait_ms = admitted_at[i].ElapsedMillis();
+      double deadline_ms = options.deadline_ms;
+      if (health_ != nullptr) {
+        deadline_ms = health_->EffectiveDeadlineMs(deadline_ms);
       }
-      auto task = [this, &queries, &results, &statuses, &admitted_at,
-                   &shed_expired, &options, expired_counter, i, k] {
-        const double wait_ms = admitted_at[i].ElapsedMillis();
-        double deadline_ms = options.deadline_ms;
-        if (health_ != nullptr) {
-          deadline_ms = health_->EffectiveDeadlineMs(deadline_ms);
-        }
-        if (deadline_ms > 0.0 && wait_ms >= deadline_ms) {
-          // The whole budget burned in the queue: shed without touching the
-          // engine — the deadline would cut every phase anyway.
-          shed_expired.fetch_add(1, std::memory_order_relaxed);
-          if (expired_counter != nullptr) expired_counter->Add(1);
-          MarkShed(&results[i], obs::ShedCause::kDeadlineExpired, wait_ms, i);
-          return;
-        }
-        QueryContext ctx;
-        if (options.deadline_ms >= 0.0) {
-          ctx.deadline_ms = deadline_ms;
-          ctx.elapsed_ms = wait_ms;
-        }
-        statuses[i] = engine_->Query(queries[i], k, ctx, &results[i]);
-        // Telemetry is recorded on the worker, as a server would: the
-        // window/recorder see queries as they finish, not at batch end.
-        if (statuses[i].ok()) {
-          StampBreakerState(&results[i]);
-          RecordQueryTelemetry(results[i], i);
-        }
-      };
-      admitted_at[i].Start();
-      PushOutcome outcome = PushOutcome::kAccepted;
+      if (deadline_ms > 0.0 && wait_ms >= deadline_ms) {
+        // The whole budget burned in the queue: shed without touching the
+        // engine — the deadline would cut every phase anyway.
+        shed_expired.fetch_add(1, std::memory_order_relaxed);
+        if (expired_counter != nullptr) expired_counter->Add(1);
+        MarkShed(&results[i], obs::ShedCause::kDeadlineExpired, wait_ms, i);
+        return;
+      }
+      QueryContext ctx;
+      if (options.deadline_ms >= 0.0) {
+        ctx.deadline_ms = deadline_ms;
+        ctx.elapsed_ms = wait_ms;
+      }
+      statuses[i] = engine_->Query(queries[i], k, ctx, &results[i]);
+      // Telemetry is recorded on the worker, as a server would: the
+      // window/recorder see queries as they finish, not at batch end.
+      if (statuses[i].ok()) FinishQuery(&results[i], i);
+    };
+    admitted_at[i].Start();
+    PushOutcome outcome = PushOutcome::kAccepted;
+    if (run_inline) {
+      task();
+    } else {
       switch (options.admission) {
         case AdmissionPolicy::kBlock:
-          if (!pool.Submit(std::move(task))) outcome = PushOutcome::kClosed;
+          if (!pool->Submit(std::move(task))) outcome = PushOutcome::kClosed;
           break;
         case AdmissionPolicy::kShed:
-          outcome = pool.TrySubmit(std::move(task));
+          outcome = pool->TrySubmit(std::move(task));
           break;
         case AdmissionPolicy::kTimeout:
-          outcome = pool.SubmitWithDeadline(std::move(task),
-                                            options.admission_timeout_ms);
-          break;
-      }
-      switch (outcome) {
-        case PushOutcome::kAccepted:
-          if (admitted_counter != nullptr) admitted_counter->Add(1);
-          break;
-        case PushOutcome::kFull:
-          report->shed_queue_full++;
-          if (shed_counter != nullptr) shed_counter->Add(1);
-          MarkShed(&results[i], obs::ShedCause::kQueueFull, 0.0, i);
-          break;
-        case PushOutcome::kTimedOut:
-          report->shed_timeout++;
-          if (timeout_counter != nullptr) timeout_counter->Add(1);
-          MarkShed(&results[i], obs::ShedCause::kQueueTimeout,
-                   admitted_at[i].ElapsedMillis(), i);
-          break;
-        case PushOutcome::kClosed:
-          // The pool only closes at scope exit; unreachable here, but a
-          // defensive shed keeps the reconciliation exact if it ever fires.
-          report->shed_queue_full++;
-          MarkShed(&results[i], obs::ShedCause::kQueueFull, 0.0, i);
+          outcome = pool->SubmitWithDeadline(std::move(task),
+                                             options.admission_timeout_ms);
           break;
       }
     }
-    pool.Drain();
+    switch (outcome) {
+      case PushOutcome::kAccepted:
+        if (admitted_counter != nullptr) admitted_counter->Add(1);
+        break;
+      case PushOutcome::kFull:
+        report->shed_queue_full++;
+        if (shed_counter != nullptr) shed_counter->Add(1);
+        MarkShed(&results[i], obs::ShedCause::kQueueFull, 0.0, i);
+        break;
+      case PushOutcome::kTimedOut:
+        report->shed_timeout++;
+        if (timeout_counter != nullptr) timeout_counter->Add(1);
+        MarkShed(&results[i], obs::ShedCause::kQueueTimeout,
+                 admitted_at[i].ElapsedMillis(), i);
+        break;
+      case PushOutcome::kClosed:
+        // The pool only closes at scope exit; unreachable here, but a
+        // defensive shed keeps the reconciliation exact if it ever fires.
+        report->shed_queue_full++;
+        MarkShed(&results[i], obs::ShedCause::kQueueFull, 0.0, i);
+        break;
+    }
+  }
+  if (pool.has_value()) {
+    pool->Drain();
     if (metrics_ != nullptr) {
       metrics_->GetGauge("pool.queue_max_depth")
-          ->Set(static_cast<double>(pool.queue_max_depth()));
+          ->Set(static_cast<double>(pool->queue_max_depth()));
     }
     {
       MutexLock lock(pool_mu_);
       active_pool_ = nullptr;
     }
+    pool.reset();
   }
   for (const Status& st : statuses) {
     EEB_RETURN_IF_ERROR(st);
@@ -818,14 +801,12 @@ void System::AggregateResults(const std::vector<QueryResult>& results,
     // dilute every average toward zero. Serve reports them separately.
     if (r.shed) continue;
     ++completed;
-    storage::IoStats io = r.gen_io;
-    io += r.refine_io;
-    const double modeled_io = disk_model_.Seconds(io);
-    const double response =
-        r.gen_seconds + r.reduce_seconds + r.refine_seconds + modeled_io;
-    latencies.Record(response);
-    modeled_io_total += modeled_io;
-    if (obs_response_ != nullptr) obs_response_->Record(response);
+    const ModeledTime modeled = ModeledResponse(r);
+    latencies.Record(modeled.response_seconds);
+    modeled_io_total += modeled.io_seconds;
+    if (obs_response_ != nullptr) {
+      obs_response_->Record(modeled.response_seconds);
+    }
     out->avg_candidates += static_cast<double>(r.candidates);
     out->avg_remaining += static_cast<double>(r.remaining);
     out->avg_fetched += static_cast<double>(r.fetched);

@@ -140,8 +140,8 @@ struct ServeOptions {
   /// queue wait counts against it, and the remaining budget is passed into
   /// the engine. A query whose wait alone exceeds the deadline is shed on
   /// dequeue without touching the engine. Negative means "engine-configured
-  /// deadline, no queue-wait accounting" (the RunQueriesConcurrent
-  /// contract); 0 disables the deadline.
+  /// deadline, no queue-wait accounting" (the RunQueries contract); 0
+  /// disables the deadline.
   double deadline_ms = -1.0;
 };
 
@@ -157,6 +157,12 @@ struct ServeReport {
   size_t shed_timeout = 0;     ///< dropped by kTimeout after the wait bound
   size_t shed_expired = 0;     ///< deadline expired in-queue; never executed
   size_t shed_brownout = 0;    ///< dropped at admission by the HealthMonitor
+};
+
+/// Modeled cost of one executed query (see System::ModeledResponse).
+struct ModeledTime {
+  double io_seconds = 0.0;        ///< DiskModel over gen_io + refine_io
+  double response_seconds = 0.0;  ///< measured CPU of all phases + io_seconds
 };
 
 /// Fully assembled kNN-search system with pluggable caching.
@@ -196,35 +202,41 @@ class System {
   /// query pins the cache generation published at its start.
   Status Query(std::span<const Scalar> q, size_t k, QueryResult* out);
 
-  /// Runs a batch and aggregates, converting I/O counts into modeled time
-  /// with the disk model.
+  /// Runs a batch with blocking admission and no end-to-end deadline, then
+  /// aggregates, converting I/O counts into modeled time with the disk
+  /// model. This is Serve with default options: one thread runs the batch
+  /// inline in query order, more run it on a worker pool, and every
+  /// per-query result and the aggregate are bit-exact at any `n_threads`
+  /// (docs/CONCURRENCY.md). `per_query`, when non-null, receives the result
+  /// of queries[i] at index i.
   Status RunQueries(const std::vector<std::vector<Scalar>>& queries, size_t k,
-                    AggregateResult* out);
+                    AggregateResult* out, size_t n_threads = 1,
+                    std::vector<QueryResult>* per_query = nullptr);
 
-  /// Runs the batch through a fixed pool of `n_threads` workers fed by a
-  /// bounded task queue, then aggregates exactly like RunQueries — the
-  /// aggregate and every per-query result are bit-exact with the serial
-  /// path (docs/CONCURRENCY.md). A ConfigureCache/ReconfigureCache from a
-  /// maintenance thread may run concurrently; queries keep the generation
-  /// they started with. Refuses to run with a tracer attached (the tracer
-  /// is single-threaded by contract). `per_query`, when non-null, receives
-  /// the result of queries[i] at index i.
-  Status RunQueriesConcurrent(const std::vector<std::vector<Scalar>>& queries,
-                              size_t k, size_t n_threads, AggregateResult* out,
-                              std::vector<QueryResult>* per_query = nullptr);
-
-  /// Open-loop serving entry (docs/ROBUSTNESS.md): runs the batch through a
-  /// worker pool like RunQueriesConcurrent, but admits each arrival under
-  /// `options.admission` instead of unconditionally blocking, charges queue
-  /// wait against `options.deadline_ms`, and sheds instead of failing when
-  /// the process is saturated. Shed queries come back as first-class
-  /// results (`QueryResult::shed` with a cause) in `per_query`, never as
-  /// errors; the report reconciles exactly (completed + shed == submitted).
-  /// With the default blocking options this is bit-exact with
-  /// RunQueriesConcurrent.
+  /// The batch path (docs/ROBUSTNESS.md). Admits each arrival under
+  /// `options.admission`, charges queue wait against `options.deadline_ms`,
+  /// and sheds instead of failing when the process is saturated. Shed
+  /// queries come back as first-class results (`QueryResult::shed` with a
+  /// cause) in `per_query`, never as errors; the report reconciles exactly
+  /// (completed + shed == submitted).
+  ///
+  /// When queueing cannot be observed — one thread, kBlock admission and a
+  /// negative deadline_ms — each query runs inline on the calling thread;
+  /// otherwise a pool of `options.n_threads` workers behind a bounded task
+  /// queue runs them. A ConfigureCache/ReconfigureCache from a maintenance
+  /// thread may run concurrently; queries keep the generation they started
+  /// with. An attached tracer is single-threaded by contract, so a batch
+  /// that would run on the pool is refused (InvalidArgument) while one is
+  /// attached. Every batch opens the "run_queries" profiler scope.
   Status Serve(const std::vector<std::vector<Scalar>>& queries, size_t k,
                const ServeOptions& options, ServeReport* report,
                std::vector<QueryResult>* per_query = nullptr);
+
+  /// Modeled cost of an executed query: the disk model over gen_io +
+  /// refine_io, plus the measured CPU of all three phases. Batch
+  /// aggregates, trace spans, window samples and recorder entries all
+  /// report this one figure.
+  ModeledTime ModeledResponse(const QueryResult& r) const;
 
   /// Builds the global histogram a method would use at code length tau.
   Status BuildGlobalHistogram(CacheMethod method, uint32_t tau,
@@ -263,11 +275,13 @@ class System {
   /// ConfigureCache calls are bound automatically.
   void EnableMetrics(obs::MetricsRegistry* registry);
 
-  /// Attaches a per-query tracer to the engine. RunQueries additionally
-  /// back-fills each span's modeled I/O and response time. nullptr detaches.
+  /// Attaches a per-query tracer to the engine; each finished query
+  /// back-fills its span's modeled I/O and response time. Batches that would
+  /// run on the worker pool are refused while a tracer is attached (see
+  /// Serve). nullptr detaches.
   void SetTracer(obs::Tracer* tracer);
 
-  /// Attaches a phase profiler to the whole pipeline: RunQueries opens a
+  /// Attaches a phase profiler to the whole pipeline: every batch opens a
   /// "run_queries" scope, the engine nests "query"/"gen"/"reduce"/"refine"
   /// under it, and the point file nests "read_point" under whichever phase
   /// fetches. nullptr detaches.
@@ -277,7 +291,7 @@ class System {
   /// finished query is folded into it (modeled response, candidate funnel,
   /// degraded flags), and a cache tap is installed so windowed hit/admit/
   /// evict ratios follow the live cache generation across rebuilds. Safe on
-  /// both the serial and concurrent paths. nullptr detaches.
+  /// the inline and pooled executors. nullptr detaches.
   void SetWindow(obs::WindowedMetrics* window);
 
   /// Attaches the flight recorder: every finished query lands in the ring;
@@ -309,7 +323,7 @@ class System {
   storage::CircuitBreakerEnv* breaker_env() { return breaker_env_.get(); }
 
   /// Samples queue depth, worker occupancy and queue-lifetime stats from the
-  /// pool currently running RunQueriesConcurrent/Serve (zeros when idle)
+  /// pool currently running a batch (zeros when idle or running inline)
   /// into the attached window, then feeds the attached HealthMonitor one
   /// snapshot. Wired as the StatsPublisher pre-sample hook.
   void SampleWorkerGauges();
@@ -355,31 +369,24 @@ class System {
   /// SetShadowCaches.
   void InstallShadowTap();
 
-  /// Folds one finished query into the attached window and recorder.
-  /// `query_index` is the query's slot in its batch (0 for single queries).
-  void RecordQueryTelemetry(const QueryResult& r, uint64_t query_index);
+  /// Completion step of every query, executed or shed, on every path:
+  /// stamps the breaker state into the explain record, back-fills the
+  /// tracer's span (modeled I/O, response time, breaker event) for an
+  /// executed query, and folds the query into the attached window and
+  /// recorder. `query_index` is the query's slot in its batch (0 for
+  /// single queries).
+  void FinishQuery(QueryResult* r, uint64_t query_index);
 
-  /// Stamps the breaker's current state into the result's explain record
-  /// (no-op when no breaker is configured).
-  void StampBreakerState(QueryResult* r);
-
-  /// Marks a result shed with `cause` and records its telemetry.
+  /// Marks a result shed with `cause` and finishes it.
   void MarkShed(QueryResult* r, obs::ShedCause cause, double queue_wait_ms,
                 uint64_t query_index);
-
-  /// Shared RunQueriesConcurrent/Serve body; `scope_name` labels the
-  /// profiler scope so both entries keep their distinct names.
-  Status ServeInternal(const std::vector<std::vector<Scalar>>& queries,
-                       size_t k, const ServeOptions& options,
-                       const char* scope_name, ServeReport* report,
-                       std::vector<QueryResult>* per_query);
 
   Status BuildCacheObject(CacheMethod method, size_t cache_bytes, uint32_t tau,
                           bool lru, std::shared_ptr<CacheGeneration>* out);
 
-  /// Shared serial/concurrent aggregation: folds per-query results in query
-  /// order (identical floating-point accumulation on both paths) and
-  /// records batch-level observability.
+  /// Batch aggregation: folds per-query results in query order (identical
+  /// floating-point accumulation on both executors) and records
+  /// batch-level observability.
   void AggregateResults(const std::vector<QueryResult>& results,
                         AggregateResult* out);
 
@@ -452,7 +459,7 @@ class System {
   obs::Gauge* obs_modeled_io_ EEB_UNGUARDED("attached before serving") =
       nullptr;
 
-  // Pool currently executing RunQueriesConcurrent (nullptr when idle);
+  // Pool currently executing a batch (nullptr when idle or inline);
   // lets SampleWorkerGauges observe queue depth / busy workers from the
   // stats-publisher thread while a batch is in flight.
   mutable Mutex pool_mu_;

@@ -27,6 +27,10 @@ namespace eeb::obs {
 /// scraper would reject wholesale.
 bool IsValidMetricName(const std::string& name);
 
+/// Escapes `s` for use inside a JSON string literal: quote and backslash,
+/// \n/\r/\t, and every other control character as \u00XX.
+std::string JsonEscape(const std::string& s);
+
 /// Escapes a Prometheus label value: backslash, double quote, and newline
 /// per the text exposition format.
 std::string PromEscapeLabelValue(const std::string& value);

@@ -203,8 +203,8 @@ TEST(ChaosTest, EightThreadsFaultyDiskNeverAbortsAndReconciles) {
   core::AggregateResult agg;
   std::vector<core::QueryResult> results;
   ASSERT_TRUE(rig.system
-                  ->RunQueriesConcurrent(rig.log.test, k, /*n_threads=*/8,
-                                         &agg, &results)
+                  ->RunQueries(rig.log.test, k, &agg, /*n_threads=*/8,
+                               &results)
                   .ok());
 
   uint64_t reported_failures = 0;
@@ -235,8 +235,8 @@ TEST(ChaosTest, EightThreadsFaultyDiskNeverAbortsAndReconciles) {
   storage::FaultPlan healthy;
   rig.env.set_plan(healthy);
   ASSERT_TRUE(rig.system
-                  ->RunQueriesConcurrent(rig.log.test, k, /*n_threads=*/8,
-                                         &agg, &results)
+                  ->RunQueries(rig.log.test, k, &agg, /*n_threads=*/8,
+                               &results)
                   .ok());
   for (size_t i = 0; i < results.size(); ++i) {
     EXPECT_FALSE(results[i].degraded);
@@ -341,8 +341,8 @@ TEST(ChaosTest, BreakerSoakUnderConcurrentLoadStaysAccountable) {
   core::AggregateResult agg;
   std::vector<core::QueryResult> results;
   ASSERT_TRUE(rig.system
-                  ->RunQueriesConcurrent(rig.log.test, k, /*n_threads=*/8,
-                                         &agg, &results)
+                  ->RunQueries(rig.log.test, k, &agg, /*n_threads=*/8,
+                               &results)
                   .ok());
   for (size_t i = 0; i < results.size(); ++i) {
     EXPECT_FALSE(results[i].degraded) << "query " << i;
@@ -377,8 +377,8 @@ TEST(ChaosTest, FlightRecorderCapturesEveryDegradedQueryWithItsCause) {
   core::AggregateResult agg;
   std::vector<core::QueryResult> results;
   ASSERT_TRUE(rig.system
-                  ->RunQueriesConcurrent(rig.log.test, k, /*n_threads=*/8,
-                                         &agg, &results)
+                  ->RunQueries(rig.log.test, k, &agg, /*n_threads=*/8,
+                               &results)
                   .ok());
   EXPECT_EQ(recorder.recorded(), results.size());
 

@@ -1,12 +1,13 @@
 // Concurrency tests (docs/CONCURRENCY.md): the worker-pool primitives, and
 // the backbone invariant of the concurrent query path — N threads hammering
-// RunQueriesConcurrent produce bit-exact per-query results, bit-exact
+// RunQueries on the pool produce bit-exact per-query results, bit-exact
 // I/O-derived aggregates, and merged HFF cache counters equal to the serial
 // totals. A final test races queries against maintenance-style cache
 // rebuilds: publication is atomic, so every answer stays exact.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -24,6 +25,8 @@
 #include "core/system.h"
 #include "core/task_queue.h"
 #include "core/thread_pool.h"
+#include "obs/recorder.h"
+#include "obs/trace.h"
 #include "hist/builders.h"
 #include "hist/frequency.h"
 #include "storage/mem_env.h"
@@ -416,8 +419,7 @@ TEST(ConcurrencyTest, EightThreadsBitExactVsSerialReference) {
   core::AggregateResult agg;
   std::vector<core::QueryResult> conc;
   ASSERT_TRUE(rig.system
-                  ->RunQueriesConcurrent(rig.log.test, k, kThreads, &agg,
-                                         &conc)
+                  ->RunQueries(rig.log.test, k, &agg, kThreads, &conc)
                   .ok());
   const cache::CacheStats after_conc = rig.system->cache()->stats();
 
@@ -450,7 +452,7 @@ TEST(ConcurrencyTest, AggregateBitExactVsSerialRunQueries) {
   core::AggregateResult serial, conc;
   ASSERT_TRUE(rig.system->RunQueries(rig.log.test, k, &serial).ok());
   ASSERT_TRUE(rig.system
-                  ->RunQueriesConcurrent(rig.log.test, k, kThreads, &conc)
+                  ->RunQueries(rig.log.test, k, &conc, kThreads)
                   .ok());
 
   // Aggregation folds per-query results in query order on both paths, so
@@ -477,8 +479,7 @@ TEST(ConcurrencyTest, SingleWorkerDegeneratesToSerial) {
   core::AggregateResult agg;
   std::vector<core::QueryResult> conc;
   const std::vector<std::vector<Scalar>> one{rig.log.test[0]};
-  ASSERT_TRUE(
-      rig.system->RunQueriesConcurrent(one, 10, 1, &agg, &conc).ok());
+  ASSERT_TRUE(rig.system->RunQueries(one, 10, &agg, 1, &conc).ok());
   ASSERT_EQ(conc.size(), 1u);
   EXPECT_EQ(conc[0].result_ids, serial.result_ids);
   EXPECT_EQ(agg.queries, 1u);
@@ -487,15 +488,47 @@ TEST(ConcurrencyTest, SingleWorkerDegeneratesToSerial) {
 TEST(ConcurrencyTest, RejectsZeroThreadsAndAttachedTracer) {
   ConcurrencyRig rig;
   core::AggregateResult agg;
-  EXPECT_FALSE(
-      rig.system->RunQueriesConcurrent(rig.log.test, 10, 0, &agg).ok());
+  EXPECT_FALSE(rig.system->RunQueries(rig.log.test, 10, &agg, 0).ok());
   obs::Tracer tracer(16);
+  obs::FlightRecorder recorder;
   rig.system->SetTracer(&tracer);
-  EXPECT_FALSE(
-      rig.system->RunQueriesConcurrent(rig.log.test, 10, 2, &agg).ok());
+  rig.system->SetRecorder(&recorder);
+
+  // One thread runs inline, so the single-threaded tracer rides along: one
+  // span per query, each back-filled with that query's modeled response,
+  // and the recorder sees each query under its batch index.
+  std::vector<core::QueryResult> results;
+  ASSERT_TRUE(
+      rig.system->RunQueries(rig.log.test, 10, &agg, 1, &results).ok());
+  ASSERT_EQ(results.size(), rig.log.test.size());
+  ASSERT_EQ(tracer.spans().size(), rig.log.test.size());
+  std::vector<obs::QueryRecord> records = recorder.SnapshotRecent();
+  std::sort(records.begin(), records.end(),
+            [](const obs::QueryRecord& a, const obs::QueryRecord& b) {
+              return a.seq < b.seq;
+            });
+  ASSERT_EQ(records.size(), rig.log.test.size());
+  for (size_t i = 0; i < results.size(); ++i) {
+    const core::ModeledTime modeled = rig.system->ModeledResponse(results[i]);
+    EXPECT_GT(modeled.io_seconds, 0.0) << "query " << i;
+    EXPECT_EQ(tracer.spans()[i].modeled_io_seconds, modeled.io_seconds)
+        << "query " << i;
+    EXPECT_EQ(tracer.spans()[i].response_seconds, modeled.response_seconds)
+        << "query " << i;
+    EXPECT_EQ(records[i].query_index, i);
+    EXPECT_EQ(records[i].response_seconds, modeled.response_seconds)
+        << "query " << i;
+  }
+
+  // At two threads the batch would run on the pool: refused, and no query
+  // ran.
+  const Status refused =
+      rig.system->RunQueries(rig.log.test, 10, &agg, 2);
+  EXPECT_TRUE(refused.IsInvalidArgument()) << refused.ToString();
+  EXPECT_EQ(tracer.spans().size(), rig.log.test.size());
   rig.system->SetTracer(nullptr);
-  EXPECT_TRUE(
-      rig.system->RunQueriesConcurrent(rig.log.test, 10, 2, &agg).ok());
+  rig.system->SetRecorder(nullptr);
+  EXPECT_TRUE(rig.system->RunQueries(rig.log.test, 10, &agg, 2).ok());
 }
 
 TEST(ConcurrencyTest, QueriesStayExactWhileMaintenanceRebuildsCache) {
@@ -527,8 +560,7 @@ TEST(ConcurrencyTest, QueriesStayExactWhileMaintenanceRebuildsCache) {
     core::AggregateResult agg;
     std::vector<core::QueryResult> conc;
     ASSERT_TRUE(rig.system
-                    ->RunQueriesConcurrent(rig.log.test, k, kThreads, &agg,
-                                           &conc)
+                    ->RunQueries(rig.log.test, k, &agg, kThreads, &conc)
                     .ok());
     for (size_t i = 0; i < truth.size(); ++i) {
       EXPECT_EQ(conc[i].result_ids, truth[i])
@@ -701,7 +733,7 @@ void ExpectServeReconciles(const core::ServeReport& report,
   EXPECT_EQ(report.agg.queries, report.completed);
 }
 
-TEST(ServeTest, BlockingServeIsBitExactWithRunQueriesConcurrent) {
+TEST(ServeTest, BlockingServeIsBitExactWithPooledRunQueries) {
   ConcurrencyRig rig;
   const size_t k = 10;
   const auto serial = SerialReference(&rig, k);
@@ -718,10 +750,10 @@ TEST(ServeTest, BlockingServeIsBitExactWithRunQueriesConcurrent) {
   EXPECT_EQ(report.completed, rig.log.test.size());
   ExpectServeReconciles(report, per_query, serial, /*check_exact=*/true);
 
-  // And the aggregate matches RunQueriesConcurrent bit for bit.
+  // And the aggregate matches RunQueries on the pool bit for bit.
   core::AggregateResult conc;
   ASSERT_TRUE(rig.system
-                  ->RunQueriesConcurrent(rig.log.test, k, kThreads, &conc)
+                  ->RunQueries(rig.log.test, k, &conc, kThreads)
                   .ok());
   // CPU-time-bearing fields (avg_response_seconds) are excluded: only the
   // deterministic, I/O-derived aggregates are contractually bit-exact.

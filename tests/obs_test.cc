@@ -499,6 +499,9 @@ TEST(ExportTest, JsonEscapesMetricNames) {
   // The raw quote/newline must not appear un-escaped (which would tear the
   // JSON document).
   EXPECT_EQ(json.find("weird\"name"), std::string::npos);
+  // Other control characters come out as \u00XX rather than vanishing.
+  EXPECT_EQ(JsonEscape(std::string("a\x01z\x1f")), "a\\u0001z\\u001f");
+  EXPECT_EQ(JsonEscape("tab\there\r"), "tab\\there\\r");
 }
 
 TEST(ExportTest, WriteStringToFileRoundTrip) {

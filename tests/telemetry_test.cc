@@ -780,8 +780,8 @@ TEST(TelemetryEndToEndTest, ConcurrentRunReconcilesWindowAgainstCounters) {
   core::AggregateResult agg;
   std::vector<core::QueryResult> results;
   ASSERT_TRUE(rig.system
-                  ->RunQueriesConcurrent(rig.log.test, k, /*n_threads=*/8,
-                                         &agg, &results)
+                  ->RunQueries(rig.log.test, k, &agg, /*n_threads=*/8,
+                               &results)
                   .ok());
 
   // Windowed totals == cumulative registry counters, to the last event.
@@ -898,8 +898,8 @@ TEST(TelemetryEndToEndTest, ConcurrentAnalyticsAndShadowsReconcile) {
 
   core::AggregateResult agg;
   ASSERT_TRUE(rig.system
-                  ->RunQueriesConcurrent(rig.log.test, k, /*n_threads=*/8,
-                                         &agg, /*results=*/nullptr)
+                  ->RunQueries(rig.log.test, k, &agg, /*n_threads=*/8,
+                               /*per_query=*/nullptr)
                   .ok());
 
   // Every probe reached every instrument exactly once.
@@ -959,8 +959,7 @@ TEST(TelemetryEndToEndTest, PublisherEmitsPeriodicSnapshotsDuringServing) {
     int rounds = 0;
     while (publisher.lines_published() < 3 && rounds < 500) {
       ASSERT_TRUE(rig.system
-                      ->RunQueriesConcurrent(rig.log.test, 10,
-                                             /*n_threads=*/8, &agg)
+                      ->RunQueries(rig.log.test, 10, &agg, /*n_threads=*/8)
                       .ok());
       ++rounds;
     }

@@ -52,6 +52,8 @@
 namespace eeb {
 namespace {
 
+using obs::JsonEscape;
+
 struct CellSpec {
   std::string name;
   core::CacheMethod method = core::CacheMethod::kNone;
@@ -154,21 +156,6 @@ void AppendF(std::string* out, const char* fmt, ...) {
   const int n = std::vsnprintf(buf, sizeof(buf), fmt, ap);
   va_end(ap);
   if (n > 0) out->append(buf, std::min(static_cast<size_t>(n), sizeof(buf) - 1));
-}
-
-// Cell names / method names / suite ids are ASCII identifiers; escaping
-// covers the characters JSON forbids outright.
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) >= 0x20) {
-      out.push_back(c);
-    }
-  }
-  return out;
 }
 
 // Post-mortem dump for in-run failures (satellite of the chaos_test idiom:
@@ -357,7 +344,7 @@ int RunSuite(const SuiteSpec& suite, const std::string& out_path) {
 // FCFS makespan over n servers (all queries arrive at t=0, each runs on the
 // earliest-free server), and the open-loop percentiles replay the same
 // service times against a fixed-rate arrival process at 80% of capacity.
-// Wall-clock QPS from a real RunQueriesConcurrent run is recorded per cell
+// Wall-clock QPS from a real RunQueries run at n threads is recorded per cell
 // (wall_qps) but informational only — bench_diff never gates on it. Every
 // cell also re-checks the concurrent results bit-exact against the serial
 // reference; a mismatch fails the run AND marks the artifact so bench_diff
@@ -435,11 +422,8 @@ int RunConcurrencySuite(const std::string& out_path,
   double total_service = 0.0;
   for (size_t i = 0; i < wb->log.test.size(); ++i) {
     bench::Check(wb->system->Query(wb->log.test[i], k, &serial[i]), "Query");
-    storage::IoStats io = serial[i].gen_io;
-    io += serial[i].refine_io;
-    service.push_back(serial[i].gen_seconds + serial[i].reduce_seconds +
-                      serial[i].refine_seconds +
-                      wb->system->disk_model().Seconds(io));
+    service.push_back(
+        wb->system->ModeledResponse(serial[i]).response_seconds);
     total_service += service.back();
   }
 
@@ -476,8 +460,8 @@ int RunConcurrencySuite(const std::string& out_path,
     std::vector<core::QueryResult> results;
     Timer wall;
     bench::Check(
-        wb->system->RunQueriesConcurrent(wb->log.test, k, n, &agg, &results),
-        "RunQueriesConcurrent");
+        wb->system->RunQueries(wb->log.test, k, &agg, n, &results),
+        "RunQueries");
     const double wall_seconds = wall.ElapsedSeconds();
     c.wall_qps = wall_seconds > 0
                      ? static_cast<double>(results.size()) / wall_seconds
@@ -923,11 +907,8 @@ int RunOverloadSuite(const std::string& out_path,
   double total_service = 0.0;
   for (size_t i = 0; i < wb->log.test.size(); ++i) {
     bench::Check(wb->system->Query(wb->log.test[i], k, &serial[i]), "Query");
-    storage::IoStats io = serial[i].gen_io;
-    io += serial[i].refine_io;
-    service.push_back(serial[i].gen_seconds + serial[i].reduce_seconds +
-                      serial[i].refine_seconds +
-                      wb->system->disk_model().Seconds(io));
+    service.push_back(
+        wb->system->ModeledResponse(serial[i]).response_seconds);
     total_service += service.back();
   }
 

@@ -20,10 +20,12 @@
 // cache) in a temp directory and reports the paper-style statistics. When
 // --queries is omitted a Zipf query log is synthesized from the data.
 // --metrics-out / --metrics-prom dump the full metrics registry (JSON /
-// Prometheus text); --trace-out writes one JSON span per query;
-// --profile-out writes the hierarchical phase profile as JSON.
+// Prometheus text); --trace-out writes one JSON span per query (it is
+// refused with exit 2 alongside --threads > 1 or a serving flag, since the
+// tracer is single-threaded); --profile-out writes the hierarchical phase
+// profile as JSON.
 //
-// Live serving mode: --threads fans the test batch over a worker pool,
+// Live serving mode: --threads N > 1 fans the test batch over a worker pool,
 // --repeat re-runs it (a long-lived run), --stats-interval-ms/--stats-out
 // stream one live.* JSON snapshot line per interval, --explain prints a
 // per-query explain record, and --recorder-out dumps the flight recorder
@@ -196,6 +198,18 @@ int CmdQuery(const Args& args) {
     Die(Status::InvalidArgument("--mrc-rate must be in (0, 1]"),
         "parse --mrc-rate");
   }
+  const size_t threads = static_cast<size_t>(args.Int("threads", 0));
+  const bool serve_mode = args.Has("admission") || args.Has("queue-cap") ||
+                          args.Has("admission-timeout-ms");
+  if ((threads > 1 || serve_mode) && args.Has("trace-out")) {
+    // The tracer is single-threaded by contract: only a one-thread
+    // RunQueries batch runs inline, and these flags may put it on the pool.
+    std::fprintf(stderr,
+                 "query: --trace-out is incompatible with --threads > 1 and "
+                 "the --admission/--queue-cap/--admission-timeout-ms "
+                 "serving flags\n");
+    return 2;
+  }
 
   Dataset data;
   Status st = workload::ReadFvecs(storage::Env::Default(),
@@ -272,19 +286,10 @@ int CmdQuery(const Args& args) {
 
   // Live serving mode: worker threads, periodic live.* snapshots, flight
   // recorder + per-query explain (docs/OBSERVABILITY.md).
-  const size_t threads = static_cast<size_t>(args.Int("threads", 0));
   const long repeat = std::max<long>(1, args.Int("repeat", 1));
   const bool explain = args.Has("explain");
   const bool live_stats =
       args.Has("stats-interval-ms") || args.Has("stats-out");
-  if ((threads > 0 || explain) && args.Has("trace-out")) {
-    // The tracer is single-threaded by contract and --explain routes
-    // through the concurrent path.
-    std::fprintf(stderr,
-                 "query: --trace-out is incompatible with --threads/"
-                 "--explain\n");
-    return 2;
-  }
   obs::WindowedMetrics window;
   obs::FlightRecorder recorder;
   system->SetWindow(&window);
@@ -361,8 +366,6 @@ int CmdQuery(const Args& args) {
   }
 
   const size_t k = static_cast<size_t>(args.Int("k", 10));
-  const bool serve_mode = args.Has("admission") || args.Has("queue-cap") ||
-                          args.Has("admission-timeout-ms");
   core::AggregateResult agg;
   core::ServeReport serve_report;
   std::vector<core::QueryResult> per_query;
@@ -380,14 +383,10 @@ int CmdQuery(const Args& args) {
       st = system->Serve(log.test, k, sopt, &serve_report,
                          explain ? &per_query : nullptr);
       agg = serve_report.agg;
-    } else if (threads > 0 || explain) {
-      // --explain needs per-query results; the concurrent path is bit-exact
-      // with the serial one, so one worker is a faithful substitute.
-      st = system->RunQueriesConcurrent(log.test, k,
-                                        std::max<size_t>(1, threads), &agg,
-                                        explain ? &per_query : nullptr);
     } else {
-      st = system->RunQueries(log.test, k, &agg);
+      st = system->RunQueries(log.test, k, &agg,
+                              std::max<size_t>(1, threads),
+                              explain ? &per_query : nullptr);
     }
     if (!st.ok()) Die(st, "run queries");
   }

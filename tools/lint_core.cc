@@ -912,6 +912,8 @@ void CheckLayering(const std::string& path, const std::string& content,
   }
 }
 
+// eeb_lint_core links no project library, so it keeps this copy of the
+// common cases of obs::JsonEscape.
 std::string JsonEscape(const std::string& s) {
   std::string out;
   for (char c : s) {
